@@ -1,5 +1,5 @@
-// Benchmarks regenerating the performance dimension of every experiment in
-// EXPERIMENTS.md (E1–E11, A1–A3). Run with
+// Benchmarks regenerating the performance dimension of every experiment
+// cmd/experiments runs (E1–E11, A1–A3). Run with
 //
 //	go test -bench=. -benchmem
 //

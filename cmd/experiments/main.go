@@ -1,7 +1,7 @@
-// Command experiments regenerates every experiment table in EXPERIMENTS.md
-// (E1–E11, A1–A3). The paper is a theory paper with no empirical tables of
-// its own; each experiment here operationalises one of its theorems or
-// claims — see DESIGN.md §4 for the mapping.
+// Command experiments regenerates every experiment table (E1–E11, A1–A3).
+// The paper is a theory paper with no empirical tables of its own; each
+// experiment here operationalises one of its theorems or claims, named in
+// the experiment's title.
 //
 // Usage:
 //

@@ -57,7 +57,7 @@ func (f *F0) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*f = *dec
+	f.nBits, f.est = dec.nBits, dec.est
 	return nil
 }
 

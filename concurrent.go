@@ -46,12 +46,9 @@ func (f *F0) Merge(other *F0) error {
 // replica: fixed-seed ConcurrentF0 estimates are bit-identical to a
 // serial F0 over the same element set, at every replica count.
 type ConcurrentF0 struct {
-	nBits int
-	front *streaming.Concurrent
-	// batches recycles AddBatch's conversion scratch (slab-backed element
-	// vectors) across calls and goroutines; sketches copy what they keep,
-	// so a batch can be reused the moment ProcessBatch returns.
-	batches sync.Pool
+	nBits   int
+	front   *streaming.Concurrent
+	batches batchPool
 }
 
 // NewConcurrentF0 builds a concurrent F0 sketch over an nBits-bit
@@ -91,44 +88,54 @@ func (c *ConcurrentF0) Add(x uint64) {
 	c.front.Process(bitvec.FromUint64(x, c.nBits))
 }
 
-// concBatch is one pooled conversion buffer: element vectors carved from
-// a single slab allocation.
-type concBatch struct {
+// AddBatch absorbs a chunk of stream elements on one replica, amortising
+// acquisition over the chunk; safe to call from any goroutine. The batch
+// is validated and converted as F0.AddBatch describes.
+func (c *ConcurrentF0) AddBatch(xs []uint64) { c.batches.addBatch(c.front, c.nBits, xs) }
+
+// batchPool recycles AddBatch's conversion scratch (slab-backed element
+// vectors) across calls and goroutines; sketches copy what they keep, so
+// a buffer can be reused the moment ProcessBatch returns.
+type batchPool struct{ pool sync.Pool }
+
+// pooledBatch is one pooled conversion buffer: element vectors carved
+// from a single slab allocation.
+type pooledBatch struct {
 	vecs []bitvec.BitVec
 }
 
-// AddBatch absorbs a chunk of stream elements on one replica, amortising
-// acquisition over the chunk; safe to call from any goroutine. The whole
-// slice is validated before any conversion — an out-of-range element
-// panics with the batch rejected atomically (no elements ingested,
-// nothing allocated) — and conversion reuses pooled scratch instead of
-// allocating a fresh []bitvec.BitVec per call.
-func (c *ConcurrentF0) AddBatch(xs []uint64) {
+// addBatch validates the whole of xs against the nBits-bit universe
+// before any conversion — an out-of-range element panics with the batch
+// rejected atomically (no elements ingested, nothing allocated) — then
+// converts it into pooled vectors and feeds them to est in one
+// ProcessBatch call.
+func (p *batchPool) addBatch(est streaming.Estimator, nBits int, xs []uint64) {
 	if len(xs) == 0 {
 		return
 	}
-	if c.nBits < 64 {
+	if nBits < 64 {
 		for _, x := range xs {
-			if x >= 1<<uint(c.nBits) {
-				panic(fmt.Sprintf("mcf0: element %d exceeds %d-bit universe", x, c.nBits))
+			if x >= 1<<uint(nBits) {
+				panic(fmt.Sprintf("mcf0: element %d exceeds %d-bit universe", x, nBits))
 			}
 		}
 	}
-	b, _ := c.batches.Get().(*concBatch)
-	if b == nil || cap(b.vecs) < len(xs) {
+	b, _ := p.pool.Get().(*pooledBatch)
+	// A buffer of another width can only come from before UnmarshalBinary
+	// replaced the sketch; drop it.
+	if b == nil || cap(b.vecs) < len(xs) || b.vecs[0].Len() != nBits {
 		n := len(xs)
 		if n < 256 {
 			n = 256 // pool floor: small batches share one steady-state buffer
 		}
-		vecs := bitvec.NewSlab(c.nBits, n)
-		b = &concBatch{vecs: vecs}
+		b = &pooledBatch{vecs: bitvec.NewSlab(nBits, n)}
 	}
 	batch := b.vecs[:len(xs)]
 	for i, x := range xs {
 		batch[i].SetUint64(x)
 	}
-	c.front.ProcessBatch(batch)
-	c.batches.Put(b)
+	est.ProcessBatch(batch)
+	p.pool.Put(b)
 }
 
 // Estimate merges the replicas and returns the combined distinct-count

@@ -193,3 +193,63 @@ func TestSetStreamMerge(t *testing.T) {
 		t.Fatalf("range merged estimate %v != whole %v", got, want)
 	}
 }
+
+// AddBatch on F0 and ConcurrentF0 rejects a batch holding an out-of-range
+// element as a whole (panic, nothing ingested), converts through pooled
+// scratch rather than one vector per element, and keeps working when
+// UnmarshalBinary swaps in a sketch of another width.
+func TestAddBatchRangeCheckAndPooling(t *testing.T) {
+	cfg := Config{Thresh: 24, Iterations: 7, Seed: 9, Parallelism: 1}
+	f, err := NewF0(8, AlgorithmBucketing, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewConcurrentF0(8, AlgorithmBucketing, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []uint64{1, 2, 300}
+	for name, add := range map[string]func([]uint64){"F0": f.AddBatch, "ConcurrentF0": c.AddBatch} {
+		func() {
+			defer func() {
+				const want = "mcf0: element 300 exceeds 8-bit universe"
+				if r := recover(); r != want {
+					t.Fatalf("%s: panic %v, want %q", name, r, want)
+				}
+			}()
+			add(bad)
+		}()
+	}
+	if f.Estimate() != 0 || c.Estimate() != 0 {
+		t.Fatalf("rejected batch was partly ingested: estimates %v, %v", f.Estimate(), c.Estimate())
+	}
+
+	xs := make([]uint64, 128)
+	for i := range xs {
+		xs[i] = uint64(i)
+	}
+	f.AddBatch(xs)
+	// The race detector makes sync.Pool drop buffers at random, so allow a
+	// few allocations; one vector per element would be 128.
+	if allocs := testing.AllocsPerRun(20, func() { f.AddBatch(xs) }); allocs > 4 {
+		t.Fatalf("F0.AddBatch: %v allocs per 128-element batch", allocs)
+	}
+
+	wide, err := NewF0(16, AlgorithmBucketing, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := wide.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	big := []uint64{1 << 12, 1<<15 + 3, 7}
+	f.AddBatch(big)
+	wide.AddBatch(big)
+	if f.Estimate() != wide.Estimate() {
+		t.Fatalf("after UnmarshalBinary to 16 bits: estimate %v, want %v", f.Estimate(), wide.Estimate())
+	}
+}

@@ -43,14 +43,20 @@ func requireBucketingEqual(t *testing.T, a, b *Bucketing) {
 		if ca.level != cb.level {
 			t.Fatalf("copy %d: level %d != %d", i, ca.level, cb.level)
 		}
-		if len(ca.idx) != len(cb.idx) {
-			t.Fatalf("copy %d: cell sizes %d != %d", i, len(ca.idx), len(cb.idx))
+		if ca.live != cb.live {
+			t.Fatalf("copy %d: cell sizes %d != %d", i, ca.live, cb.live)
 		}
 		// Cells are sets keyed by fingerprint; slot assignment is layout,
-		// not state, so compare contents through the index.
-		for k, sa := range ca.idx {
-			sb, ok := cb.idx[k]
-			if !ok || !ca.rows[sa].Equal(cb.rows[sb]) {
+		// not state, so walk a's occupied slots and look each key up in
+		// b's index. Finding every slot of a through a's own index proves
+		// a's keys distinct, so equal sizes make the key sets equal.
+		for s := 0; s < ca.live; s++ {
+			k := ca.keys[s]
+			if pa, ok := ca.find(k); !ok || ca.index[pa] != int32(s+1) {
+				t.Fatalf("copy %d: slot %d is not reachable through its own index", i, s)
+			}
+			pb, ok := cb.find(k)
+			if !ok || !ca.rows[s].Equal(cb.rows[cb.index[pb]-1]) {
 				t.Fatalf("copy %d: cell contents diverge at key %v", i, k)
 			}
 		}

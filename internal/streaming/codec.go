@@ -148,21 +148,20 @@ func slabRows(r *wire.Reader, rows, bitsPerRow int) bool {
 // ---- Bucketing ----
 
 // appendBinary emits n, thresh, t, then per copy the hash draw, the
-// sampling level, and the occupied cells in slab-slot order as
-// (fingerprint, hash-value-row) pairs.
+// sampling level, and the live cells in slot order as
+// (fingerprint, hash-value-row) pairs. The index is derived state and is
+// rebuilt on decode.
 func (b *Bucketing) appendBinary(dst []byte) []byte {
 	dst = wire.AppendHeader(dst, wire.KindBucketing, bucketingVersion)
 	dst = wire.AppendInt(dst, b.n)
 	dst = wire.AppendInt(dst, b.thresh)
 	dst = wire.AppendInt(dst, len(b.copies))
-	for _, c := range b.copies {
+	for i := range b.copies {
+		c := &b.copies[i]
 		dst, _ = hash.AppendFunc(dst, c.h)
 		dst = wire.AppendInt(dst, c.level)
-		dst = wire.AppendInt(dst, len(c.idx))
-		for s, on := range c.occ {
-			if !on {
-				continue
-			}
+		dst = wire.AppendInt(dst, c.live)
+		for s := 0; s < c.live; s++ {
 			lo, hi, _ := c.keys[s].Raw()
 			dst = wire.AppendUint64(dst, lo)
 			dst = wire.AppendUint64(dst, hi)
@@ -190,13 +189,11 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 		r.Corrupt("bucketing shape n=%d thresh=%d t=%d", n, thresh, t)
 		return nil
 	}
-	slots := thresh + 1
-	if !slabRows(r, t*slots, n) {
+	if !slabRows(r, t*(thresh+2), n) { // per copy: thresh+1 cell rows and a scratch row
 		return nil
 	}
-	b := &Bucketing{thresh: thresh, n: n, eng: newEngine(parallelism, minBatchCheap)}
-	rows := bitvec.NewSlab(n, t*slots)
-	for i := 0; i < t; i++ {
+	b := newBucketing(n, thresh, t, newEngine(parallelism, minBatchCheap))
+	for i := range b.copies {
 		h := hash.DecodeLinear(r)
 		level := r.Int(n)
 		cnt := r.Int(thresh)
@@ -208,34 +205,29 @@ func decodeBucketing(r *wire.Reader, parallelism int) *Bucketing {
 				i, h.InBits(), h.OutBits(), n, n)
 			return nil
 		}
-		c := newBucketCopy(h, rows[i*slots:(i+1)*slots], n)
-		c.level = level
-		// Re-pack the cells into slots 0..cnt−1 — the canonical layout a
-		// fresh copy ingesting the same set would hold; slot placement is
-		// invisible to estimates and merges.
+		c := &b.copies[i]
+		c.h, c.level = h, level
+		// Pack the cells into slots 0..cnt−1 in wire order, the layout the
+		// encoder walked; slot placement is invisible to estimates and
+		// merges.
 		for s := 0; s < cnt; s++ {
 			key := bitvec.RawFingerprint(r.Uint64(), r.Uint64(), n)
-			r.BitVecInto(c.rows[s])
+			hy := c.rows[s]
+			r.BitVecInto(hy)
 			if r.Err() != nil {
 				return nil
 			}
-			if _, dup := c.idx[key]; dup {
+			pos, dup := c.find(key)
+			if dup {
 				r.Corrupt("bucketing copy %d has duplicate cell fingerprints", i)
 				return nil
 			}
-			if !c.rows[s].HasZeroPrefix(level) {
+			if !hy.HasZeroPrefix(level) {
 				r.Corrupt("bucketing copy %d cell escapes its sampling level", i)
 				return nil
 			}
-			c.keys[s] = key
-			c.occ[s] = true
-			c.idx[key] = int32(s)
+			c.put(pos, key, hy)
 		}
-		c.free = c.free[:0]
-		for s := slots - 1; s >= cnt; s-- {
-			c.free = append(c.free, int32(s))
-		}
-		b.copies = append(b.copies, c)
 	}
 	return b
 }

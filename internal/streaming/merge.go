@@ -79,28 +79,13 @@ func sameFunc(a, b hash.Func) bool {
 	return oka && okb && slices.Equal(ca, cb)
 }
 
-// Clone returns a deep copy sharing hash draws, with its own slab.
+// Clone returns a deep copy sharing hash draws: the cells are copied flat
+// (one row slab, one fingerprint array, one index array).
 func (b *Bucketing) Clone() Sketch {
-	out := &Bucketing{thresh: b.thresh, n: b.n, eng: b.eng}
-	slots := b.thresh + 1
-	rows := bitvec.NewSlab(b.n, len(b.copies)*slots)
-	for i, c := range b.copies {
-		nc := &bucketCopy{
-			h:       c.h, // immutable: sharing it is the mergeability precondition
-			level:   c.level,
-			idx:     maps.Clone(c.idx),
-			rows:    rows[i*slots : (i+1)*slots],
-			keys:    slices.Clone(c.keys),
-			occ:     slices.Clone(c.occ),
-			free:    slices.Clone(c.free),
-			scratch: bitvec.New(b.n),
-		}
-		for s, on := range c.occ {
-			if on {
-				nc.rows[s].CopyFrom(c.rows[s])
-			}
-		}
-		out.copies = append(out.copies, nc)
+	out := &Bucketing{thresh: b.thresh, n: b.n, eng: b.eng,
+		copies: slices.Clone(b.copies), cells: b.cells.clone(b.n)}
+	for i := range out.copies {
+		out.carve(i) // keeps h (immutable: sharing it is the mergeability precondition), level and live
 	}
 	return out
 }
@@ -119,7 +104,7 @@ func (b *Bucketing) Merge(other Sketch) error {
 		}
 	}
 	for i := range b.copies {
-		b.copies[i].merge(o.copies[i], b.thresh)
+		b.copies[i].merge(&o.copies[i], b.thresh)
 	}
 	return nil
 }
@@ -128,14 +113,8 @@ func (c *bucketCopy) merge(o *bucketCopy, thresh int) {
 	if o.level > c.level {
 		c.setLevel(o.level)
 	}
-	for s, on := range o.occ {
-		if !on {
-			continue
-		}
-		if _, dup := c.idx[o.keys[s]]; dup {
-			continue
-		}
-		c.insert(o.keys[s], o.rows[s], thresh)
+	for s := 0; s < o.live; s++ {
+		c.offer(o.keys[s], o.rows[s], thresh)
 	}
 }
 

@@ -43,6 +43,7 @@ package streaming
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"mcf0/internal/bitvec"
@@ -167,26 +168,67 @@ func (e *ExactDistinct) Count() int { return len(e.seen) }
 type Bucketing struct {
 	thresh int
 	n      int
-	copies []*bucketCopy
+	copies []bucketCopy
+	cells  bucketCells
 	eng    engine
 	keys   []bitvec.Fingerprint // batch fingerprint scratch
 	one    [1]bitvec.BitVec
 }
 
-// bucketCopy stores its cell as a slot table over rows carved from one
-// contiguous slab shared by every copy of the sketch (thresh+1 slots per
-// copy: the overflow loop runs after insertion, so occupancy transiently
-// reaches thresh+1). Raising the level re-filters with one linear walk
-// over the slab instead of iterating a map of scattered heap vectors.
+// bucketCells is the flat storage every copy carves its cell from: one
+// row slab, one fingerprint array and one index array for the whole
+// sketch. Construction and Clone therefore cost a handful of allocations
+// and flat copies however many copies the sketch has.
+type bucketCells struct {
+	// rows holds slots+1 rows per copy: slots cell rows, then the copy's
+	// hash scratch row, which keeps each copy's write target away from
+	// its neighbours' when the copies fan out across workers.
+	rows  []bitvec.BitVec
+	words []uint64             // backing array of rows
+	keys  []bitvec.Fingerprint // slots per copy, parallel to the cell rows
+	index []int32              // indexSize(slots) per copy
+}
+
+// indexSize is the length of a copy's open-addressed index over a cell of
+// slots entries: the power of two at least 2·slots, so the load stays at
+// most 1/2 and every probe sequence reaches an empty entry.
+func indexSize(slots int) int { return 1 << bits.Len(uint(2*slots-1)) }
+
+func newBucketCells(n, t, slots int) bucketCells {
+	rows, words := bitvec.NewSlabWords(n, t*(slots+1))
+	return bucketCells{
+		rows:  rows,
+		words: words,
+		keys:  make([]bitvec.Fingerprint, t*slots),
+		index: make([]int32, t*indexSize(slots)),
+	}
+}
+
+// clone copies the cells flat. The index stores slot numbers, not
+// pointers, so the copy is valid over the new slab as it stands.
+func (s bucketCells) clone(n int) bucketCells {
+	rows, words := bitvec.NewSlabWords(n, len(s.rows))
+	copy(words, s.words)
+	return bucketCells{rows: rows, words: words, keys: slices.Clone(s.keys), index: slices.Clone(s.index)}
+}
+
+// bucketCopy is one Gibbons–Tirthapura cell. Its live entries occupy rows
+// and keys 0..live−1 (a level raise compacts the survivors to the front),
+// and index is an open-addressed table over their fingerprints: linear
+// probing, each entry holding slot+1, zero marking an empty entry. Only
+// setLevel ever removes entries, and it rebuilds the table from the
+// survivors, so the table needs no tombstones.
 type bucketCopy struct {
 	h     *hash.Linear
 	level int
-	idx   map[bitvec.Fingerprint]int32 // element fingerprint → occupied slot
-	rows  []bitvec.BitVec              // slab rows: hash values, addressed by slot
-	keys  []bitvec.Fingerprint         // keys[slot], valid while occ[slot]
-	occ   []bool
-	free  []int32 // stack of unoccupied slots
-	// scratch holds one hash evaluation; it is copied into a slab row only
+	live  int
+	// shift is 64 − log₂ len(index): a key's home position is the top
+	// bits of a multiplicative hash of its fingerprint.
+	shift uint
+	rows  []bitvec.BitVec      // cell hash values, addressed by slot
+	keys  []bitvec.Fingerprint // element fingerprints, addressed by slot
+	index []int32
+	// scratch holds one hash evaluation; it is copied into a cell row only
 	// when the element actually enters the cell.
 	scratch bitvec.BitVec
 }
@@ -196,71 +238,118 @@ type bucketCopy struct {
 func NewBucketing(n int, opts Options) *Bucketing {
 	rng := opts.rng()
 	fam := hash.NewToeplitz(n, n)
-	b := &Bucketing{thresh: opts.thresh(), n: n, eng: newEngine(opts.Parallelism, minBatchCheap)}
-	t := opts.iterations()
-	slots := b.thresh + 1
-	rows := bitvec.NewSlab(n, t*slots)
-	for i := 0; i < t; i++ {
-		b.copies = append(b.copies, newBucketCopy(
-			fam.Draw(rng.Uint64).(*hash.Linear), rows[i*slots:(i+1)*slots], n))
+	b := newBucketing(n, opts.thresh(), opts.iterations(), newEngine(opts.Parallelism, minBatchCheap))
+	for i := range b.copies {
+		b.copies[i].h = fam.Draw(rng.Uint64).(*hash.Linear)
 	}
 	return b
 }
 
-func newBucketCopy(h *hash.Linear, rows []bitvec.BitVec, n int) *bucketCopy {
-	c := &bucketCopy{
-		h:       h,
-		idx:     make(map[bitvec.Fingerprint]int32, len(rows)),
-		rows:    rows,
-		keys:    make([]bitvec.Fingerprint, len(rows)),
-		occ:     make([]bool, len(rows)),
-		free:    make([]int32, 0, len(rows)),
-		scratch: bitvec.New(n),
+// newBucketing allocates a sketch of t empty copies; the caller sets each
+// copy's hash draw.
+func newBucketing(n, thresh, t int, eng engine) *Bucketing {
+	b := &Bucketing{thresh: thresh, n: n, eng: eng,
+		copies: make([]bucketCopy, t), cells: newBucketCells(n, t, thresh+1)}
+	for i := range b.copies {
+		b.carve(i)
 	}
-	for s := len(rows) - 1; s >= 0; s-- {
-		c.free = append(c.free, int32(s))
-	}
-	return c
+	return b
 }
 
-// absorb runs lines 3–11 of Algorithm 3 for one copy and one element.
+// carve points copy i's slices at its share of b.cells.
+func (b *Bucketing) carve(i int) {
+	slots := b.thresh + 1
+	size := indexSize(slots)
+	c := &b.copies[i]
+	rows := b.cells.rows[i*(slots+1) : (i+1)*(slots+1)]
+	c.rows, c.scratch = rows[:slots:slots], rows[slots]
+	c.keys = b.cells.keys[i*slots : (i+1)*slots : (i+1)*slots]
+	c.index = b.cells.index[i*size : (i+1)*size : (i+1)*size]
+	c.shift = uint(64 - bits.Len(uint(size-1)))
+}
+
+// absorb runs lines 3–11 of Algorithm 3 for one copy and one element,
+// cheapest test first: hash, then the level-prefix filter, and only for
+// the few elements that pass, the duplicate lookup. This gives exactly
+// the state of the paper's order (dedup, hash, filter): every key in the
+// cell has an all-zero prefix at the current level (offer filters on it,
+// setLevel evicts the rest, decode rejects a cell that escapes its level),
+// levels never go down and hashing is pure, so an element that fails the
+// prefix test is not in the cell and would have been dropped anyway.
 func (c *bucketCopy) absorb(x bitvec.BitVec, key bitvec.Fingerprint, thresh int) {
-	if _, ok := c.idx[key]; ok {
-		return
-	}
 	c.h.EvalInto(x, c.scratch)
-	c.insert(key, c.scratch, thresh)
+	c.offer(key, c.scratch, thresh)
 }
 
-// insert places an already-evaluated hash value into the cell (lines 5–11
-// of Algorithm 3): filter at the current level, store into a free slot,
-// and raise the level until the cell fits again. Shared by ingestion
-// (absorb) and Merge; callers have already rejected duplicate keys.
-func (c *bucketCopy) insert(key bitvec.Fingerprint, hy bitvec.BitVec, thresh int) {
+// offer places an already-evaluated hash value into the cell (lines 5–11
+// of Algorithm 3): filter at the current level, skip a key already
+// present, store into the next free slot, and raise the level until the
+// cell fits again. Shared by ingestion (absorb) and Merge.
+func (c *bucketCopy) offer(key bitvec.Fingerprint, hy bitvec.BitVec, thresh int) {
 	if !hy.HasZeroPrefix(c.level) {
 		return
 	}
-	slot := c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
-	c.rows[slot].CopyFrom(hy)
-	c.keys[slot] = key
-	c.occ[slot] = true
-	c.idx[key] = slot
-	for len(c.idx) > thresh {
+	pos, dup := c.find(key)
+	if dup {
+		return
+	}
+	c.put(pos, key, hy)
+	for c.live > thresh {
 		c.setLevel(c.level + 1)
 	}
 }
 
+// find probes the index for key. It returns the position holding key, or
+// the empty position where key belongs and false.
+func (c *bucketCopy) find(key bitvec.Fingerprint) (pos int, found bool) {
+	lo, hi, _ := key.Raw()
+	mask := len(c.index) - 1
+	pos = int(((lo ^ bits.RotateLeft64(hi, 32)) * 0x9e3779b97f4a7c15) >> c.shift)
+	for {
+		e := c.index[pos]
+		if e == 0 {
+			return pos, false
+		}
+		if c.keys[e-1] == key {
+			return pos, true
+		}
+		pos = (pos + 1) & mask
+	}
+}
+
+// put stores key and its hash value in the next free slot and records
+// the slot at index position pos, which find returned empty for key.
+func (c *bucketCopy) put(pos int, key bitvec.Fingerprint, hy bitvec.BitVec) {
+	c.rows[c.live].CopyFrom(hy)
+	c.keys[c.live] = key
+	c.live++
+	c.index[pos] = int32(c.live)
+}
+
 // setLevel raises the sampling level and evicts the hash values that lose
-// their all-zero prefix, scanning the slots in slab order.
+// their all-zero prefix: one walk over the live slots compacts the
+// survivors to the front, then the index is rebuilt from them.
 func (c *bucketCopy) setLevel(level int) {
 	c.level = level
-	for s := range c.rows {
-		if c.occ[s] && !c.rows[s].HasZeroPrefix(level) {
-			delete(c.idx, c.keys[s])
-			c.occ[s] = false
-			c.free = append(c.free, int32(s))
+	w := 0
+	for s := 0; s < c.live; s++ {
+		if !c.rows[s].HasZeroPrefix(level) {
+			continue
 		}
+		if w != s {
+			c.rows[w].CopyFrom(c.rows[s])
+			c.keys[w] = c.keys[s]
+		}
+		w++
+	}
+	if w == c.live {
+		return // nothing evicted: the index is still exact
+	}
+	c.live = w
+	clear(c.index)
+	for s := 0; s < w; s++ {
+		pos, _ := c.find(c.keys[s])
+		c.index[pos] = int32(s + 1)
 	}
 }
 
@@ -284,7 +373,8 @@ func (b *Bucketing) ProcessBatch(xs []bitvec.BitVec) {
 		keys[k] = x.Fingerprint()
 	}
 	if b.eng.serial(len(xs)) {
-		for _, c := range b.copies {
+		for i := range b.copies {
+			c := &b.copies[i]
 			for k, x := range xs {
 				c.absorb(x, keys[k], b.thresh)
 			}
@@ -292,7 +382,7 @@ func (b *Bucketing) ProcessBatch(xs []bitvec.BitVec) {
 		return
 	}
 	b.eng.run(len(b.copies), func(i, _ int) {
-		c := b.copies[i]
+		c := &b.copies[i]
 		for k, x := range xs {
 			c.absorb(x, keys[k], b.thresh)
 		}
@@ -302,8 +392,8 @@ func (b *Bucketing) ProcessBatch(xs []bitvec.BitVec) {
 // Estimate returns Median_i(|bucket_i| · 2^level_i).
 func (b *Bucketing) Estimate() float64 {
 	ests := make([]float64, len(b.copies))
-	for i, c := range b.copies {
-		ests[i] = float64(len(c.idx)) * pow2(c.level)
+	for i := range b.copies {
+		ests[i] = float64(b.copies[i].live) * pow2(b.copies[i].level)
 	}
 	return stats.Median(ests)
 }
@@ -311,20 +401,17 @@ func (b *Bucketing) Estimate() float64 {
 // SketchWords reports the live bucket contents' footprint.
 func (b *Bucketing) SketchWords() int {
 	total := 0
-	wpr := (b.n + 63) / 64
-	for _, c := range b.copies {
-		total += len(c.idx) * wpr
+	for i := range b.copies {
+		total += b.copies[i].live
 	}
-	return total
+	return total * ((b.n + 63) / 64)
 }
 
 // MaxLevel returns the largest sampling level across copies (diagnostics).
 func (b *Bucketing) MaxLevel() int {
 	m := 0
-	for _, c := range b.copies {
-		if c.level > m {
-			m = c.level
-		}
+	for i := range b.copies {
+		m = max(m, b.copies[i].level)
 	}
 	return m
 }
@@ -379,6 +466,9 @@ func NewMinimum(n int, opts Options) *Minimum {
 func (c *minCopy) absorb(x bitvec.BitVec, thresh int) {
 	c.h.EvalInto(x, c.scratch)
 	y := c.scratch
+	if len(c.vals) == thresh && !y.Less(c.vals[thresh-1]) {
+		return // not below the current maximum: neither new nor kept
+	}
 	idx := sort.Search(len(c.vals), func(i int) bool { return !c.vals[i].Less(y) })
 	if idx < len(c.vals) && c.vals[idx].Equal(y) {
 		return // already present

@@ -335,8 +335,9 @@ func dimacsLits(n int, raw []int) ([]formula.Lit, error) {
 // F0 is a streaming distinct-elements sketch over a universe of nBits-bit
 // integers (nBits ≤ 64).
 type F0 struct {
-	nBits int
-	est   streaming.Estimator
+	nBits   int
+	est     streaming.Estimator
+	batches batchPool // AddBatch's conversion scratch
 }
 
 // NewF0 builds an F0 sketch using the selected algorithm
@@ -378,20 +379,11 @@ func (f *F0) Add(x uint64) {
 // AddBatch absorbs a chunk of stream elements, fanning the sketch's
 // independent copies across Config.Parallelism workers with one dispatch
 // for the whole chunk. Equivalent to calling Add on each element in order;
-// chunks of a few hundred elements amortise the dispatch best.
-func (f *F0) AddBatch(xs []uint64) {
-	if len(xs) == 0 {
-		return
-	}
-	batch := make([]bitvec.BitVec, len(xs))
-	for i, x := range xs {
-		if f.nBits < 64 && x >= 1<<uint(f.nBits) {
-			panic(fmt.Sprintf("mcf0: element %d exceeds %d-bit universe", x, f.nBits))
-		}
-		batch[i] = bitvec.FromUint64(x, f.nBits)
-	}
-	f.est.ProcessBatch(batch)
-}
+// chunks of a few hundred elements amortise the dispatch best. The whole
+// chunk is range-checked before any element is absorbed, so an
+// out-of-range element panics with nothing ingested; conversion reuses
+// pooled scratch rather than allocating a vector per element.
+func (f *F0) AddBatch(xs []uint64) { f.batches.addBatch(f.est, f.nBits, xs) }
 
 // Estimate returns the current distinct-count approximation.
 func (f *F0) Estimate() float64 { return f.est.Estimate() }
@@ -713,7 +705,7 @@ func renderSamples(xs []bitvec.BitVec) []string {
 }
 
 // WithinFactor reports whether est is within the (1+eps) band around truth
-// — the acceptance predicate of every experiment in EXPERIMENTS.md.
+// — the acceptance predicate of every experiment cmd/experiments runs.
 func WithinFactor(est, truth, eps float64) bool {
 	return stats.WithinFactor(est, truth, eps)
 }
